@@ -222,7 +222,6 @@ impl Default for Config {
                 "DispatchStats",
                 "CombinedStats",
                 "DeficitStats",
-                "QueueStats",
                 "EvaluatedDesign",
             ],
             hot_forbidden_methods: vec![

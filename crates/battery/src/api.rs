@@ -26,6 +26,17 @@ pub trait BatteryModel {
         self.capacity_mwh() - self.min_soc_mwh()
     }
 
+    /// Equivalent full cycles of delivering `discharged_mwh` (energy
+    /// discharged ÷ usable capacity); 0 for a zero-capacity battery.
+    fn equivalent_cycles(&self, discharged_mwh: f64) -> f64 {
+        let usable = self.usable_capacity_mwh();
+        if usable > 0.0 {
+            discharged_mwh / usable
+        } else {
+            0.0
+        }
+    }
+
     /// Requests to charge at `power_mw` for one hour; returns the power
     /// actually drawn from the source (limited by C-rate and headroom).
     fn charge(&mut self, power_mw: f64) -> f64;

@@ -127,16 +127,11 @@ pub fn dispatch_with_policy(
         grid.push(draw);
     }
 
-    let usable = battery.usable_capacity_mwh();
     let grid_draw = HourlySeries::from_values(demand.start(), grid);
     Ok(PolicyDispatchResult {
         peak_grid_draw_mw: grid_draw.max().unwrap_or(0.0),
         operational_tons: operational,
-        equivalent_cycles: if usable > 0.0 {
-            discharged / usable
-        } else {
-            0.0
-        },
+        equivalent_cycles: battery.equivalent_cycles(discharged),
         grid_draw,
     })
 }

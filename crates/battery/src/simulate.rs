@@ -5,6 +5,7 @@ use crate::api::BatteryModel;
 use ce_timeseries::kernels::COVERED_EPSILON_MWH;
 use ce_timeseries::stats::Histogram;
 use ce_timeseries::{DeficitStats, HourlySeries, TimeSeriesError};
+use std::iter::repeat;
 
 /// The outcome of dispatching a battery over a demand/supply pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,6 +51,59 @@ impl DispatchResult {
     }
 }
 
+/// One hour of [`dispatch_hours`]: grid draw, battery output and
+/// curtailment (MW), and the end-of-hour state of charge (MWh).
+#[derive(Debug, Clone, Copy)]
+struct Hour {
+    unmet: f64,
+    supplied: f64,
+    curtailed: f64,
+    soc: f64,
+}
+
+/// The greedy policy's only hour loop: surplus hours charge the battery
+/// (curtailing what it cannot accept), deficit hours discharge it. Each
+/// hour goes to `sink` in hour order, with the matching item of `tags`
+/// (the grid weight on the sweep path, `()` on the figure path) zipped
+/// alongside so the sink needs no cursor of its own. Returns the energy
+/// the battery delivered, MWh. The battery is reset to full first.
+///
+/// [`simulate_dispatch`]'s sink collects the series and
+/// [`simulate_dispatch_stats`]'s folds them; once inlined, the folding
+/// instantiation never computes the outputs it ignores.
+// ce:hot
+fn dispatch_hours<B: BatteryModel + ?Sized, T>(
+    battery: &mut B,
+    demand: &[f64],
+    supply: &[f64],
+    tags: impl IntoIterator<Item = T>,
+    mut sink: impl FnMut(Hour, T),
+) -> f64 {
+    battery.reset(1.0);
+    let mut total_discharged = 0.0;
+    for ((&d, &s), tag) in demand.iter().zip(supply).zip(tags) {
+        let (unmet, supplied, curtailed) = if s >= d {
+            // Surplus: charge with the excess, curtail the rest.
+            let surplus = s - d;
+            (0.0, 0.0, surplus - battery.charge(surplus))
+        } else {
+            // Deficit: discharge to cover as much as possible.
+            let deficit = d - s;
+            let delivered = battery.discharge(deficit);
+            total_discharged += delivered;
+            (deficit - delivered, delivered, 0.0)
+        };
+        let hour = Hour {
+            unmet,
+            supplied,
+            curtailed,
+            soc: battery.soc_mwh(),
+        };
+        sink(hour, tag);
+    }
+    total_discharged
+}
+
 /// Simulates hour-by-hour dispatch of `battery` against a datacenter
 /// `demand` and renewable `supply` (both MW): surplus hours charge the
 /// battery, deficit hours discharge it.
@@ -67,52 +121,32 @@ pub fn simulate_dispatch(
     supply: &HourlySeries,
 ) -> Result<DispatchResult, TimeSeriesError> {
     demand.check_aligned(supply)?;
-    battery.reset(1.0);
-
     let len = demand.len();
-    let start = demand.start();
     let mut unmet = Vec::with_capacity(len);
     let mut supplied = Vec::with_capacity(len);
     let mut curtailed = Vec::with_capacity(len);
     let mut soc = Vec::with_capacity(len);
-    let mut total_discharged = 0.0;
+    let total_discharged = dispatch_hours(
+        battery,
+        demand.values(),
+        supply.values(),
+        repeat(()),
+        |hour, ()| {
+            unmet.push(hour.unmet);
+            supplied.push(hour.supplied);
+            curtailed.push(hour.curtailed);
+            soc.push(hour.soc);
+        },
+    );
 
-    for h in 0..len {
-        let d = demand[h];
-        let s = supply[h];
-        if s >= d {
-            // Surplus: charge with the excess, curtail the rest.
-            let surplus = s - d;
-            let accepted = battery.charge(surplus);
-            unmet.push(0.0);
-            supplied.push(0.0);
-            curtailed.push(surplus - accepted);
-        } else {
-            // Deficit: discharge to cover as much as possible.
-            let deficit = d - s;
-            let delivered = battery.discharge(deficit);
-            total_discharged += delivered;
-            unmet.push(deficit - delivered);
-            supplied.push(delivered);
-            curtailed.push(0.0);
-        }
-        soc.push(battery.soc_mwh());
-    }
-
-    let usable = battery.usable_capacity_mwh();
-    let equivalent_cycles = if usable > 0.0 {
-        total_discharged / usable
-    } else {
-        0.0
-    };
-
+    let start = demand.start();
     Ok(DispatchResult {
         unmet: HourlySeries::from_values(start, unmet),
         battery_supplied: HourlySeries::from_values(start, supplied),
         curtailed: HourlySeries::from_values(start, curtailed),
         soc: HourlySeries::from_values(start, soc),
         total_discharged_mwh: total_discharged,
-        equivalent_cycles,
+        equivalent_cycles: battery.equivalent_cycles(total_discharged),
     })
 }
 
@@ -135,18 +169,17 @@ pub struct DispatchStats {
     pub equivalent_cycles: f64,
 }
 
-/// Streaming variant of [`simulate_dispatch`]: steps the same greedy
-/// charge-on-surplus / discharge-on-deficit policy hour by hour, but folds
-/// the outputs into [`DispatchStats`] on the fly instead of materializing
-/// the four year-long `unmet`/`battery_supplied`/`curtailed`/`soc` series.
-/// This is the design-sweep hot path — it performs **zero heap
-/// allocations**.
+/// [`simulate_dispatch`] folded into [`DispatchStats`]: the same hour
+/// loop, with a sink that accumulates the grid draw instead of collecting
+/// the four year-long series. This is the design-sweep hot path; it
+/// performs **zero heap allocations**.
 ///
 /// Every accumulator folds in hour order, exactly as reducing
 /// [`simulate_dispatch`]'s `unmet` series afterwards would, so the results
 /// are bitwise-identical to the materializing path:
-/// `deficit.unmet_mwh == unmet.sum()`, `unmet_dot == unmet.dot(weight)`,
-/// and the cycle accounting matches field for field.
+/// `deficit.unmet_mwh == unmet.sum()`, `unmet_dot` equals the in-order sum
+/// of `unmet[h] · weight[h]`, and the cycle accounting matches field for
+/// field.
 ///
 /// The function is generic so concrete battery models are monomorphized
 /// (no virtual dispatch in the inner loop); `&mut dyn BatteryModel` still
@@ -165,38 +198,25 @@ pub fn simulate_dispatch_stats<B: BatteryModel + ?Sized>(
 ) -> Result<DispatchStats, TimeSeriesError> {
     demand.check_aligned(supply)?;
     demand.check_aligned(weight)?;
-    battery.reset(1.0);
 
     let mut unmet_mwh = 0.0;
     let mut covered_hours = 0usize;
     let mut unmet_dot = 0.0;
-    let mut total_discharged = 0.0;
+    let total_discharged = dispatch_hours(
+        battery,
+        demand.values(),
+        supply.values(),
+        weight.values(),
+        |hour, &wh| {
+            let u = hour.unmet;
+            unmet_mwh += u;
+            if u <= COVERED_EPSILON_MWH {
+                covered_hours += 1;
+            }
+            unmet_dot += u * wh;
+        },
+    );
 
-    // Zipped slice iterators: no per-hour bounds checks, same hour order
-    // and float-op order as indexed traversal.
-    let hours = demand
-        .values()
-        .iter()
-        .zip(supply.values())
-        .zip(weight.values());
-    for ((&d, &s), &wh) in hours {
-        let u = if s >= d {
-            battery.charge(s - d);
-            0.0
-        } else {
-            let deficit = d - s;
-            let delivered = battery.discharge(deficit);
-            total_discharged += delivered;
-            deficit - delivered
-        };
-        unmet_mwh += u;
-        if u <= COVERED_EPSILON_MWH {
-            covered_hours += 1;
-        }
-        unmet_dot += u * wh;
-    }
-
-    let usable = battery.usable_capacity_mwh();
     Ok(DispatchStats {
         deficit: DeficitStats {
             unmet_mwh,
@@ -204,11 +224,7 @@ pub fn simulate_dispatch_stats<B: BatteryModel + ?Sized>(
         },
         unmet_dot,
         total_discharged_mwh: total_discharged,
-        equivalent_cycles: if usable > 0.0 {
-            total_discharged / usable
-        } else {
-            0.0
-        },
+        equivalent_cycles: battery.equivalent_cycles(total_discharged),
     })
 }
 

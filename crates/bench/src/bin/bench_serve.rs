@@ -15,7 +15,10 @@
 //! bench_serve [output-path]      # full run, default: BENCH_serve.json
 //! bench_serve --smoke            # small functional pass, writes nothing
 //! bench_serve --check [path]     # validate a committed BENCH_serve.json
+//! bench_serve --help             # print usage
 //! ```
+//!
+//! An unknown option is a usage error (exit 2) and writes nothing.
 //!
 //! `--smoke` shrinks the working set and request counts to something CI
 //! can afford while still exercising both phases end to end, including
@@ -35,6 +38,7 @@
 //! anything. The JSON is hand-rolled (the vendored serde has no
 //! serde_json companion).
 
+use ce_bench::cli::{parse_bench_args, BenchArgs};
 use ce_core::{provenance, EvalScratch, StrategyKind};
 use ce_datacenter::Fleet;
 use ce_manifest::{verify, Manifest, Recomputed};
@@ -44,6 +48,7 @@ use ce_serve::{
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Client threads per timed run.
@@ -494,32 +499,38 @@ fn check(path: &str) -> ! {
     std::process::exit(0);
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("--check") => {
-            let path = args.get(1).map_or("BENCH_serve.json", String::as_str);
-            check(path);
-        }
-        Some("--smoke") => {
-            // Small enough for CI, but both phases run and every response
-            // is still byte-verified. Writes nothing.
-            let reference = reference(16);
-            let results = run_benchmark(64, 16, &reference.bodies);
-            for (concurrency, _, hot) in &results {
-                if hot.requests == 0 {
-                    die("smoke", &format!("no hot requests at c={concurrency}"));
-                }
-            }
-            println!("bench_serve --smoke: ok");
-            return;
-        }
-        _ => {}
+const USAGE: &str = "usage: bench_serve [output-path]
+       bench_serve --smoke
+       bench_serve --check [path]
+       bench_serve --help
+";
+
+fn main() -> ExitCode {
+    let BenchArgs {
+        smoke,
+        check: validate,
+        path,
+    } = match parse_bench_args("bench_serve", USAGE, std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(code) => return code,
+    };
+    if validate {
+        check(path.as_deref().unwrap_or("BENCH_serve.json"));
     }
-    let out_path = args
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
+    if smoke {
+        // Small enough for CI, but both phases run and every response
+        // is still byte-verified. Writes nothing.
+        let reference = reference(16);
+        let results = run_benchmark(64, 16, &reference.bodies);
+        for (concurrency, _, hot) in &results {
+            if hot.requests == 0 {
+                die("smoke", &format!("no hot requests at c={concurrency}"));
+            }
+        }
+        println!("bench_serve --smoke: ok");
+        return ExitCode::SUCCESS;
+    }
+    let out_path = path.unwrap_or_else(|| "BENCH_serve.json".to_string());
     let reference = reference(DISTINCT_KEYS);
     let results = run_benchmark(HOT_REQUESTS_PER_CLIENT, DISTINCT_KEYS, &reference.bodies);
     let json = results_json(&results, HOT_REQUESTS_PER_CLIENT, &reference.manifest);
@@ -527,4 +538,5 @@ fn main() {
         die("write benchmark output", &e.to_string());
     }
     println!("wrote {out_path}");
+    ExitCode::SUCCESS
 }

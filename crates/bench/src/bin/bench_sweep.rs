@@ -16,7 +16,10 @@
 //! bench_sweep --check [path]      # no timing: parse an existing output
 //!                                 # file, validate its schema, and
 //!                                 # re-derive its provenance manifest
+//! bench_sweep --help              # print usage
 //! ```
+//!
+//! An unknown option is a usage error (exit 2) and writes nothing.
 //!
 //! The JSON is hand-rolled (the vendored serde has no serde_json
 //! companion); the schema is flat enough that `format!` is fine, and
@@ -31,6 +34,7 @@
 //! no longer reproduces on the current checkout.
 
 use ce_battery::{simulate_dispatch_stats, ClcBattery};
+use ce_bench::cli::{parse_bench_args, BenchArgs};
 use ce_core::{provenance, CarbonExplorer, DesignSpace, EvaluatedDesign, StrategyKind};
 use ce_datacenter::Fleet;
 use ce_grid::GridDataset;
@@ -641,17 +645,17 @@ fn check_schema(path: &str) -> ExitCode {
     }
 }
 
+const USAGE: &str = "usage: bench_sweep [--smoke] [output-path]
+       bench_sweep --check [path]
+       bench_sweep --help
+";
+
 fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut check = false;
-    let mut path: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = true,
-            other => path = Some(other.to_string()),
-        }
-    }
+    let BenchArgs { smoke, check, path } =
+        match parse_bench_args("bench_sweep", USAGE, std::env::args().skip(1)) {
+            Ok(args) => args,
+            Err(code) => return code,
+        };
     if check {
         return check_schema(&path.unwrap_or_else(|| "BENCH_sweep.json".to_string()));
     }

@@ -37,9 +37,7 @@
 pub mod balancing_authority;
 pub mod carbon_intensity;
 pub mod curtailment;
-pub mod eia;
 pub mod fuel;
-pub mod pricing;
 pub mod solar;
 pub mod synthesis;
 pub mod wind;
@@ -48,5 +46,4 @@ pub use balancing_authority::{BaProfile, BalancingAuthority};
 pub use carbon_intensity::carbon_intensity_series;
 pub use curtailment::{curtailed_energy, CurtailmentRecord};
 pub use fuel::FuelType;
-pub use pricing::PriceModel;
 pub use synthesis::GridDataset;

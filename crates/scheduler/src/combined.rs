@@ -17,6 +17,7 @@ use ce_timeseries::kernels::COVERED_EPSILON_MWH;
 use ce_timeseries::{DeficitStats, HourlySeries, TimeSeriesError};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::iter::repeat;
 
 /// Configuration for the combined battery + CAS dispatcher.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -62,52 +63,72 @@ pub struct CombinedResult {
     pub equivalent_cycles: f64,
 }
 
-/// Runs the combined heuristic over aligned `demand` and `supply` series.
+impl CombinedConfig {
+    /// Panics on a configuration the heuristic cannot run.
+    fn assert_valid(&self) {
+        assert!(
+            (0.0..=1.0).contains(&self.flexible_ratio),
+            "flexible ratio must be in [0, 1]"
+        );
+        assert!(self.window_hours > 0, "window must be at least one hour");
+    }
+}
+
+/// One hour of [`dispatch_hours`]: grid draw, effective load, battery
+/// output and curtailment (MW), and the end-of-hour state of charge
+/// (MWh).
+#[derive(Debug, Clone, Copy)]
+struct Hour {
+    unmet: f64,
+    load: f64,
+    supplied: f64,
+    curtailed: f64,
+    soc: f64,
+}
+
+/// Run-level energy totals of [`dispatch_hours`], MWh.
+#[derive(Debug, Clone, Copy, Default)]
+struct Totals {
+    deferred: f64,
+    forced: f64,
+    peak_backlog: f64,
+    discharged: f64,
+}
+
+/// The battery-first / defer-second heuristic, stepped once per hour over
+/// `demand` and `supply` with `backlog` as the deferred-work FIFO of
+/// `(deadline_hour, energy_mwh)` jobs. Each hour's outcome goes to `sink`
+/// in hour order, with the matching item of `tags` (the grid weight on
+/// the sweep path, `()` on the figure path) zipped alongside.
 ///
-/// The battery starts full (commissioning charge), as in
-/// [`ce_battery::simulate_dispatch`].
+/// Anything still in the backlog at the end of the horizon is forced onto
+/// grid energy (conservative accounting): the final hour's `unmet` and
+/// `load` reach the sink with that leftover already added, so every sink
+/// sees the same final hour.
 ///
-/// # Errors
-///
-/// Returns an alignment error if the series are misaligned.
-///
-/// # Panics
-///
-/// Panics if `config.flexible_ratio` is outside `[0, 1]` or
-/// `config.window_hours` is zero.
-pub fn combined_dispatch(
-    battery: &mut dyn BatteryModel,
-    demand: &HourlySeries,
-    supply: &HourlySeries,
+/// This is the only hour loop of the heuristic. [`combined_dispatch`]'s
+/// sink collects the five series; [`combined_dispatch_stats`]'s folds the
+/// grid draw into scalars. The battery is reset to full first.
+// ce:hot
+fn dispatch_hours<B: BatteryModel + ?Sized, T>(
+    battery: &mut B,
+    demand: &[f64],
+    supply: &[f64],
     config: CombinedConfig,
-) -> Result<CombinedResult, TimeSeriesError> {
-    assert!(
-        (0.0..=1.0).contains(&config.flexible_ratio),
-        "flexible ratio must be in [0, 1]"
-    );
-    assert!(config.window_hours > 0, "window must be at least one hour");
-    demand.check_aligned(supply)?;
+    backlog: &mut VecDeque<(usize, f64)>,
+    tags: impl IntoIterator<Item = T>,
+    mut sink: impl FnMut(Hour, T),
+) -> Totals {
     battery.reset(1.0);
+    backlog.clear();
+    let len = demand.len().min(supply.len());
+    let mut totals = Totals::default();
 
-    let len = demand.len();
-    let start = demand.start();
-    let mut unmet = vec![0.0; len];
-    let mut effective = vec![0.0; len];
-    let mut supplied = vec![0.0; len];
-    let mut curtailed = vec![0.0; len];
-    let mut soc = vec![0.0; len];
-    let mut deferred_total = 0.0;
-    let mut forced_total = 0.0;
-    let mut peak_backlog = 0.0f64;
-    let mut total_discharged = 0.0;
-
-    // FIFO of (deadline_hour, energy_mwh) deferred jobs.
-    let mut backlog: VecDeque<(usize, f64)> = VecDeque::new();
-
-    for h in 0..len {
-        let d = demand[h];
-        let s = supply[h];
+    for (h, ((&d, &s), tag)) in demand.iter().zip(supply).zip(tags).enumerate() {
         let mut load = d;
+        let mut unmet = 0.0;
+        let mut supplied = 0.0;
+        let mut curtailed = 0.0;
 
         // SLO enforcement: any deferred work whose deadline is this hour
         // must run now, whatever the energy source.
@@ -115,7 +136,7 @@ pub fn combined_dispatch(
             if deadline <= h {
                 backlog.pop_front();
                 load += energy;
-                forced_total += energy;
+                totals.forced += energy;
             } else {
                 break;
             }
@@ -139,14 +160,13 @@ pub fn combined_dispatch(
                 }
             }
             // Then charge the battery; curtail the rest.
-            let accepted = battery.charge(surplus);
-            curtailed[h] = surplus - accepted;
+            curtailed = surplus - battery.charge(surplus);
         } else {
             // Deficit: battery first.
             let mut deficit = load - s;
             let delivered = battery.discharge(deficit);
-            total_discharged += delivered;
-            supplied[h] = delivered;
+            totals.discharged += delivered;
+            supplied = delivered;
             deficit -= delivered;
             if deficit > 1e-12 {
                 // Battery insufficient: defer what flexibility allows.
@@ -155,46 +175,89 @@ pub fn combined_dispatch(
                 let deferrable = (d * config.flexible_ratio).min(deficit);
                 if deferrable > 1e-12 {
                     backlog.push_back((h + config.window_hours, deferrable));
-                    deferred_total += deferrable;
+                    totals.deferred += deferrable;
                     load -= deferrable;
                     deficit -= deferrable;
                 }
-                unmet[h] = deficit;
+                unmet = deficit;
             }
         }
 
-        effective[h] = load;
-        soc[h] = battery.soc_mwh();
         let backlog_now: f64 = backlog.iter().map(|(_, e)| e).sum();
-        peak_backlog = peak_backlog.max(backlog_now);
+        totals.peak_backlog = totals.peak_backlog.max(backlog_now);
+        if h + 1 == len {
+            // End of horizon: the leftover backlog runs on grid energy.
+            unmet += backlog_now;
+            load += backlog_now;
+            totals.forced += backlog_now;
+        }
+        let hour = Hour {
+            unmet,
+            load,
+            supplied,
+            curtailed,
+            soc: battery.soc_mwh(),
+        };
+        sink(hour, tag);
     }
+    totals
+}
 
-    // Anything still in the backlog at the end of the horizon is forced
-    // onto grid energy (conservative accounting).
-    let leftover: f64 = backlog.iter().map(|(_, e)| e).sum();
-    if let Some(last) = unmet.last_mut() {
-        *last += leftover;
-        forced_total += leftover;
-    }
-    if let Some(last) = effective.last_mut() {
-        *last += leftover;
-    }
+/// Runs the combined heuristic over aligned `demand` and `supply` series.
+///
+/// The battery starts full (commissioning charge), as in
+/// [`ce_battery::simulate_dispatch`].
+///
+/// # Errors
+///
+/// Returns an alignment error if the series are misaligned.
+///
+/// # Panics
+///
+/// Panics if `config.flexible_ratio` is outside `[0, 1]` or
+/// `config.window_hours` is zero.
+pub fn combined_dispatch(
+    battery: &mut dyn BatteryModel,
+    demand: &HourlySeries,
+    supply: &HourlySeries,
+    config: CombinedConfig,
+) -> Result<CombinedResult, TimeSeriesError> {
+    config.assert_valid();
+    demand.check_aligned(supply)?;
 
-    let usable = battery.usable_capacity_mwh();
+    let len = demand.len();
+    let mut unmet = Vec::with_capacity(len);
+    let mut effective = Vec::with_capacity(len);
+    let mut supplied = Vec::with_capacity(len);
+    let mut curtailed = Vec::with_capacity(len);
+    let mut soc = Vec::with_capacity(len);
+    let totals = dispatch_hours(
+        battery,
+        demand.values(),
+        supply.values(),
+        config,
+        &mut VecDeque::new(),
+        repeat(()),
+        |hour, ()| {
+            unmet.push(hour.unmet);
+            effective.push(hour.load);
+            supplied.push(hour.supplied);
+            curtailed.push(hour.curtailed);
+            soc.push(hour.soc);
+        },
+    );
+
+    let start = demand.start();
     Ok(CombinedResult {
         unmet: HourlySeries::from_values(start, unmet),
         effective_demand: HourlySeries::from_values(start, effective),
         battery_supplied: HourlySeries::from_values(start, supplied),
         curtailed: HourlySeries::from_values(start, curtailed),
         soc: HourlySeries::from_values(start, soc),
-        deferred_mwh: deferred_total,
-        forced_mwh: forced_total,
-        peak_backlog_mwh: peak_backlog,
-        equivalent_cycles: if usable > 0.0 {
-            total_discharged / usable
-        } else {
-            0.0
-        },
+        deferred_mwh: totals.deferred,
+        forced_mwh: totals.forced,
+        peak_backlog_mwh: totals.peak_backlog,
+        equivalent_cycles: battery.equivalent_cycles(totals.discharged),
     })
 }
 
@@ -230,20 +293,17 @@ pub struct CombinedStats {
     pub equivalent_cycles: f64,
 }
 
-/// Streaming variant of [`combined_dispatch`]: runs the same
-/// battery-first / defer-second heuristic hour by hour, but folds the
-/// outputs into [`CombinedStats`] on the fly instead of materializing the
-/// five year-long `unmet`/`effective_demand`/`battery_supplied`/
-/// `curtailed`/`soc` series. The only state beyond scalars is the
+/// [`combined_dispatch`] folded into [`CombinedStats`]: the same hour
+/// loop, with a sink that accumulates the grid draw instead of collecting
+/// the five year-long series. The only state beyond scalars is the
 /// deferred-work queue, which lives in the caller-owned `scratch`.
 ///
-/// Every accumulator folds in hour order — with the final hour's grid
-/// draw folded after the end-of-horizon backlog is forced onto it,
-/// exactly as [`combined_dispatch`] patches its last `unmet` sample — so
-/// the results are bitwise-identical to reducing the materializing path's
-/// series: `deficit.unmet_mwh == unmet.sum()`,
-/// `unmet_dot == unmet.dot(weight)`, and the deferral/cycle accounting
-/// matches field for field.
+/// Every accumulator folds in hour order, exactly as reducing
+/// [`combined_dispatch`]'s `unmet` series afterwards would, so the results
+/// are bitwise-identical to the materializing path:
+/// `deficit.unmet_mwh == unmet.sum()`, `unmet_dot` equals the in-order sum
+/// of `unmet[h] · weight[h]`, and the deferral/cycle accounting matches
+/// field for field.
 ///
 /// The function is generic so concrete battery models are monomorphized
 /// (no virtual dispatch in the inner loop); `&mut dyn BatteryModel` still
@@ -267,130 +327,41 @@ pub fn combined_dispatch_stats<B: BatteryModel + ?Sized>(
     config: CombinedConfig,
     scratch: &mut CombinedScratch,
 ) -> Result<CombinedStats, TimeSeriesError> {
-    assert!(
-        (0.0..=1.0).contains(&config.flexible_ratio),
-        "flexible ratio must be in [0, 1]"
-    );
-    assert!(config.window_hours > 0, "window must be at least one hour");
+    config.assert_valid();
     demand.check_aligned(supply)?;
     demand.check_aligned(weight)?;
-    battery.reset(1.0);
-
-    let len = demand.len();
-    let w = weight.values();
-    let backlog = &mut scratch.backlog;
-    backlog.clear();
 
     let mut unmet_mwh = 0.0;
     let mut covered_hours = 0usize;
     let mut unmet_dot = 0.0;
-    let mut deferred_total = 0.0;
-    let mut forced_total = 0.0;
-    let mut peak_backlog = 0.0f64;
-    let mut total_discharged = 0.0;
-    // The final hour's grid draw is held back: the end-of-horizon backlog
-    // is forced onto it before it is folded, mirroring the materializing
-    // path's `*unmet.last_mut() += leftover`.
-    let mut last_unmet = 0.0;
-
-    for h in 0..len {
-        let d = demand[h];
-        let s = supply[h];
-        let mut load = d;
-        let mut unmet_now = 0.0;
-
-        // SLO enforcement: any deferred work whose deadline is this hour
-        // must run now, whatever the energy source.
-        while let Some(&(deadline, energy)) = backlog.front() {
-            if deadline <= h {
-                backlog.pop_front();
-                load += energy;
-                forced_total += energy;
-            } else {
-                break;
-            }
-        }
-
-        if s >= load {
-            // Surplus: run deferred work first, newest-deadline last.
-            let mut surplus = s - load;
-            let mut headroom = (config.max_capacity_mw - load).max(0.0);
-            while surplus > 1e-12 && headroom > 1e-12 {
-                let Some((deadline, energy)) = backlog.pop_front() else {
-                    break;
-                };
-                let run = energy.min(surplus).min(headroom);
-                surplus -= run;
-                headroom -= run;
-                let remainder = energy - run;
-                if remainder > 1e-12 {
-                    backlog.push_front((deadline, remainder));
-                }
-            }
-            // Then charge the battery (the curtailed remainder is not
-            // tracked here).
-            battery.charge(surplus);
-        } else {
-            // Deficit: battery first.
-            let mut deficit = load - s;
-            let delivered = battery.discharge(deficit);
-            total_discharged += delivered;
-            deficit -= delivered;
-            if deficit > 1e-12 {
-                // Battery insufficient: defer what flexibility allows.
-                let deferrable = (d * config.flexible_ratio).min(deficit);
-                if deferrable > 1e-12 {
-                    backlog.push_back((h + config.window_hours, deferrable));
-                    deferred_total += deferrable;
-                    deficit -= deferrable;
-                }
-                unmet_now = deficit;
-            }
-        }
-
-        let backlog_now: f64 = backlog.iter().map(|(_, e)| e).sum();
-        peak_backlog = peak_backlog.max(backlog_now);
-
-        if h + 1 == len {
-            last_unmet = unmet_now;
-        } else {
-            unmet_mwh += unmet_now;
-            if unmet_now <= COVERED_EPSILON_MWH {
+    let totals = dispatch_hours(
+        battery,
+        demand.values(),
+        supply.values(),
+        config,
+        &mut scratch.backlog,
+        weight.values(),
+        |hour, &wh| {
+            let u = hour.unmet;
+            unmet_mwh += u;
+            if u <= COVERED_EPSILON_MWH {
                 covered_hours += 1;
             }
-            unmet_dot += unmet_now * w[h];
-        }
-    }
+            unmet_dot += u * wh;
+        },
+    );
 
-    // Anything still in the backlog at the end of the horizon is forced
-    // onto grid energy (conservative accounting) via the final hour.
-    if len > 0 {
-        let leftover: f64 = backlog.iter().map(|(_, e)| e).sum();
-        let u = last_unmet + leftover;
-        forced_total += leftover;
-        unmet_mwh += u;
-        if u <= COVERED_EPSILON_MWH {
-            covered_hours += 1;
-        }
-        unmet_dot += u * w[len - 1];
-    }
-
-    let usable = battery.usable_capacity_mwh();
     Ok(CombinedStats {
         deficit: DeficitStats {
             unmet_mwh,
             covered_hours,
         },
         unmet_dot,
-        deferred_mwh: deferred_total,
-        forced_mwh: forced_total,
-        peak_backlog_mwh: peak_backlog,
-        total_discharged_mwh: total_discharged,
-        equivalent_cycles: if usable > 0.0 {
-            total_discharged / usable
-        } else {
-            0.0
-        },
+        deferred_mwh: totals.deferred,
+        forced_mwh: totals.forced,
+        peak_backlog_mwh: totals.peak_backlog,
+        total_discharged_mwh: totals.discharged,
+        equivalent_cycles: battery.equivalent_cycles(totals.discharged),
     })
 }
 
@@ -557,10 +528,9 @@ mod tests {
     #[test]
     fn stats_match_materialized_reductions_bitwise() {
         // Irregular demand/supply that exercises forced deadlines, partial
-        // backlog draining, battery clamping, and leftover forcing.
-        let demand = HourlySeries::from_fn(start(), 200, |h| 5.0 + ((h * 13) % 11) as f64);
-        let supply = HourlySeries::from_fn(start(), 200, |h| ((h * 29) % 23) as f64);
-        let weight = HourlySeries::from_fn(start(), 200, |h| 0.2 + (h % 24) as f64 * 0.02);
+        // backlog draining, battery clamping, and leftover forcing. The
+        // 1-hour run holds back its first hour; the 25-hour run ends one
+        // hour into a second day with work still deferred.
         let configs = [
             cfg(0.4),
             cfg(1.0),
@@ -570,8 +540,14 @@ mod tests {
                 window_hours: 3,
             },
         ];
-        for config in configs {
-            for capacity in [0.0, 8.0, 40.0] {
+        for len in [200, 1, 25] {
+            let demand = HourlySeries::from_fn(start(), len, |h| 5.0 + ((h * 13) % 11) as f64);
+            let supply = HourlySeries::from_fn(start(), len, |h| ((h * 29) % 23) as f64);
+            let weight = HourlySeries::from_fn(start(), len, |h| 0.2 + (h % 24) as f64 * 0.02);
+            for (config, capacity) in configs
+                .into_iter()
+                .flat_map(|config| [0.0, 8.0, 40.0].map(|capacity| (config, capacity)))
+            {
                 let mut full_battery = ClcBattery::lfp(capacity, 0.9);
                 let full = combined_dispatch(&mut full_battery, &demand, &supply, config).unwrap();
                 let mut stats_battery = ClcBattery::lfp(capacity, 0.9);
@@ -588,12 +564,12 @@ mod tests {
                 assert_eq!(
                     stats.deficit.unmet_mwh.to_bits(),
                     full.unmet.sum().to_bits(),
-                    "unmet energy diverged (cap {capacity})"
+                    "unmet energy diverged (len {len}, cap {capacity})"
                 );
                 assert_eq!(
                     stats.deficit.covered_hours,
                     full.unmet.count_where(|u| u <= COVERED_EPSILON_MWH),
-                    "covered hours diverged (cap {capacity})"
+                    "covered hours diverged (len {len}, cap {capacity})"
                 );
                 // The streaming fold accumulates u·w hour by hour, so the
                 // oracle is a sequential in-order sum (HourlySeries::dot
@@ -609,7 +585,7 @@ mod tests {
                 assert_eq!(
                     stats.unmet_dot.to_bits(),
                     sequential_dot.to_bits(),
-                    "weighted grid draw diverged (cap {capacity})"
+                    "weighted grid draw diverged (len {len}, cap {capacity})"
                 );
                 assert_eq!(stats.deferred_mwh.to_bits(), full.deferred_mwh.to_bits());
                 assert_eq!(stats.forced_mwh.to_bits(), full.forced_mwh.to_bits());

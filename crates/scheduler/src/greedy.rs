@@ -28,27 +28,17 @@ pub struct ScheduleResult {
     pub energy_shifted_mwh: f64,
 }
 
-/// Reusable buffers for [`GreedyScheduler::schedule_with`] /
-/// [`GreedyScheduler::schedule_by_cost_with`].
+/// Reusable output buffer for [`GreedyScheduler::schedule_with_order`].
 ///
-/// A scheduling run needs a year-long shifted-load buffer, a year-long
-/// cost buffer, and a day-long ranking buffer; sweep loops that allocate
-/// them per call churn megabytes per design point. A default-constructed
-/// scratch sizes its buffers lazily on first use and reuses them for every
-/// subsequent call, so steady-state scheduling performs no heap
-/// allocation.
+/// A scheduling run writes a year-long shifted-load series; sweep loops
+/// that allocated it per call churned megabytes per design point. A
+/// default-constructed scratch sizes its buffer lazily on first use and
+/// reuses it for every subsequent call, so steady-state scheduling
+/// performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleScratch {
     /// Post-scheduling load, one value per input hour.
     shifted: Vec<f64>,
-    /// Per-hour cost signal (renewable deficit `d − s` for
-    /// [`GreedyScheduler::schedule_with`]).
-    cost: Vec<f64>,
-    /// Per-day hour indices ranked by cost.
-    order: Vec<u32>,
-    /// Sort workspace: packed `(total_cmp-ordered cost bits, hour)` keys
-    /// for one day, mirroring [`CostOrder::rebuild_orders`].
-    sort_keys: Vec<u128>,
 }
 
 impl ScheduleScratch {
@@ -60,22 +50,22 @@ impl ScheduleScratch {
     }
 }
 
-/// Precomputed per-day cost permutations (plus the cost signal they rank),
-/// reusable across every scheduling run that shares the cost series.
+/// Per-day cost permutations (plus the cost signal they rank): the
+/// ranking every [`GreedyScheduler`] run transfers load along.
 ///
-/// `schedule_day`'s dominant work is ranking the day's hours by cost —
-/// the cost series depends only on demand and supply, yet the per-point
-/// sweep path re-sorted it for every battery/CAS design point in a supply
-/// group. Building a `CostOrder` once per group and scheduling through
-/// [`GreedyScheduler::schedule_with_order`] /
-/// [`GreedyScheduler::schedule_by_cost_with_order`] hoists both the cost
-/// fill and the 365 daily sorts out of the per-point path.
+/// Ranking each day's hours by cost is the scheduler's dominant work, and
+/// the cost depends only on demand and supply, not on the CAS design
+/// point. [`GreedyScheduler::schedule`] and
+/// [`GreedyScheduler::schedule_by_cost`] build a fresh order per call;
+/// sweep loops build one per supply group and schedule every design point
+/// in the group through [`GreedyScheduler::schedule_with_order`], which
+/// hoists both the cost fill and the 365 daily sorts out of the per-point
+/// path.
 ///
-/// The stored permutation of each full day is exactly the stable sort by
-/// `f64::total_cmp` that the uncached path's insertion sort produces
-/// (ties keep hour order), so cached and uncached scheduling are
-/// bitwise-identical; a trailing partial day is excluded, mirroring the
-/// schedulers. Buffers are reused across `rebuild_*` calls, so a warm
+/// The stored permutation of each full day is the stable sort of the
+/// day's hours by `f64::total_cmp` (ties keep hour order); a trailing
+/// partial day is excluded, mirroring the schedulers. Buffers are reused
+/// across [`CostOrder::rebuild_from_deficit_slices`] calls, so a warm
 /// `CostOrder` re-ranks without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct CostOrder {
@@ -96,8 +86,14 @@ impl CostOrder {
     /// signal (the ranking [`GreedyScheduler::schedule_by_cost`] uses).
     #[must_use]
     pub fn from_cost(cost: &[f64]) -> Self {
-        let mut this = Self::default();
-        this.rebuild_from_cost(cost);
+        // ce:allow(arith, reason = "len % k never exceeds len, so the difference cannot underflow")
+        let full = cost.len() - cost.len() % HOURS_PER_DAY;
+        let mut this = Self {
+            source_len: cost.len(),
+            cost: cost.iter().take(full).copied().collect(),
+            ..Self::default()
+        };
+        this.rebuild_orders();
         this
     }
 
@@ -111,43 +107,19 @@ impl CostOrder {
         demand: &HourlySeries,
         supply: &HourlySeries,
     ) -> Result<Self, TimeSeriesError> {
+        demand.check_aligned(supply)?;
         let mut this = Self::default();
-        this.rebuild_from_deficit(demand, supply)?;
+        this.rebuild_from_deficit_slices(demand.values(), supply.values());
         Ok(this)
     }
 
-    /// Re-ranks in place for a new cost signal, reusing the buffers.
-    pub fn rebuild_from_cost(&mut self, cost: &[f64]) {
-        self.source_len = cost.len();
-        // ce:allow(arith, reason = "len % k never exceeds len, so the difference cannot underflow")
-        let full = cost.len() - cost.len() % HOURS_PER_DAY;
-        self.cost.clear();
-        self.cost.extend(cost.iter().take(full));
-        self.rebuild_orders();
-    }
-
     /// Re-ranks in place for a new demand/supply pair, reusing the
-    /// buffers.
-    ///
-    /// # Errors
-    ///
-    /// Returns an alignment error if the series are misaligned.
-    pub fn rebuild_from_deficit(
-        &mut self,
-        demand: &HourlySeries,
-        supply: &HourlySeries,
-    ) -> Result<(), TimeSeriesError> {
-        demand.check_aligned(supply)?;
-        self.rebuild_from_deficit_slices(demand.values(), supply.values());
-        Ok(())
-    }
-
-    /// Slice-level [`CostOrder::rebuild_from_deficit`] for callers whose
-    /// alignment is already an invariant (e.g. a sweep's supply buffer is
-    /// shaped from its demand trace): infallible, so hot loops carry no
-    /// error path. If the lengths do differ, the shorter one is ranked
-    /// and recorded as [`CostOrder::source_len`], which the schedulers'
-    /// own length check then rejects.
+    /// buffers, for callers whose alignment is already an invariant (e.g.
+    /// a sweep's supply buffer is shaped from its demand trace):
+    /// infallible, so hot loops carry no error path. If the lengths do
+    /// differ, the shorter one is ranked and recorded as
+    /// [`CostOrder::source_len`], which the schedulers' own length check
+    /// then rejects.
     // ce:hot
     pub fn rebuild_from_deficit_slices(&mut self, demand: &[f64], supply: &[f64]) {
         self.source_len = demand.len().min(supply.len());
@@ -205,7 +177,7 @@ impl CostOrder {
 /// Maps a cost onto bits whose plain unsigned order is `f64::total_cmp`
 /// order: `total_cmp` compares sign-magnitude bit patterns mapped to
 /// two's complement, so flipping all bits of negatives and the sign bit
-/// of non-negatives linearizes it. Shared by both packed-key day sorts.
+/// of non-negatives linearizes it.
 // ce:hot
 fn ordered_bits(cost: f64) -> u64 {
     let bits = cost.to_bits();
@@ -282,7 +254,13 @@ impl GreedyScheduler {
     /// Schedules against a renewable `supply` series: load moves from the
     /// hours with the deepest renewable deficit to the hours with the most
     /// surplus (equivalently, from high to low carbon intensity when the
-    /// marginal grid fuel is fixed).
+    /// marginal grid fuel is fixed). A destination hour stops absorbing
+    /// load once its renewable surplus is used up — moving more would
+    /// merely relocate the deficit.
+    ///
+    /// Ranks the days with a fresh [`CostOrder::from_deficit`]; results
+    /// are bitwise-identical to [`GreedyScheduler::schedule_with_order`]
+    /// over that order.
     ///
     /// # Errors
     ///
@@ -292,60 +270,19 @@ impl GreedyScheduler {
         demand: &HourlySeries,
         supply: &HourlySeries,
     ) -> Result<ScheduleResult, TimeSeriesError> {
-        let mut scratch = ScheduleScratch::default();
-        let energy_shifted_mwh = self.schedule_with(demand, supply, &mut scratch)?;
+        let order = CostOrder::from_deficit(demand, supply)?;
+        let mut shifted = Vec::new();
+        let energy_shifted_mwh =
+            self.transfer_days(demand.values(), Some(supply.values()), &order, &mut shifted);
         Ok(ScheduleResult {
-            shifted_demand: HourlySeries::from_values(demand.start(), scratch.shifted),
+            shifted_demand: HourlySeries::from_values(demand.start(), shifted),
             energy_shifted_mwh,
         })
     }
 
-    /// [`GreedyScheduler::schedule`] into caller-owned buffers: the
-    /// post-scheduling load lands in `scratch.shifted()` and the total
-    /// energy moved is returned, with no per-call allocation once the
-    /// scratch is warm. Results are bitwise-identical to
-    /// [`GreedyScheduler::schedule`], which is a thin wrapper over this.
-    ///
-    /// # Errors
-    ///
-    /// Returns an alignment error if the series are misaligned.
-    // ce:hot
-    pub fn schedule_with(
-        &self,
-        demand: &HourlySeries,
-        supply: &HourlySeries,
-        scratch: &mut ScheduleScratch,
-    ) -> Result<f64, TimeSeriesError> {
-        demand.check_aligned(supply)?;
-        let ScheduleScratch {
-            shifted,
-            cost,
-            order,
-            sort_keys,
-        } = scratch;
-        shifted.clear();
-        shifted.extend_from_slice(demand.values());
-        cost.clear();
-        cost.extend(
-            demand
-                .values()
-                .iter()
-                .zip(supply.values())
-                .map(|(d, s)| d - s),
-        );
-        let mut total_moved = 0.0;
-        let loads = shifted.chunks_exact_mut(HOURS_PER_DAY);
-        let costs = cost.chunks_exact(HOURS_PER_DAY);
-        let supplies = supply.values().chunks_exact(HOURS_PER_DAY);
-        for ((load, cost), sup) in loads.zip(costs).zip(supplies) {
-            total_moved += self.schedule_day(load, cost, Some(sup), order, sort_keys);
-        }
-        Ok(total_moved)
-    }
-
     /// Schedules against an arbitrary per-hour carbon-cost signal (for
     /// example the grid's hourly carbon intensity, as in the paper's
-    /// Figure 11).
+    /// Figure 11). Destinations are bounded only by the capacity cap.
     ///
     /// # Errors
     ///
@@ -355,49 +292,26 @@ impl GreedyScheduler {
         demand: &HourlySeries,
         cost: &HourlySeries,
     ) -> Result<ScheduleResult, TimeSeriesError> {
-        let mut scratch = ScheduleScratch::default();
-        let energy_shifted_mwh = self.schedule_by_cost_with(demand, cost, &mut scratch)?;
+        demand.check_aligned(cost)?;
+        let order = CostOrder::from_cost(cost.values());
+        let mut shifted = Vec::new();
+        let energy_shifted_mwh = self.transfer_days(demand.values(), None, &order, &mut shifted);
         Ok(ScheduleResult {
-            shifted_demand: HourlySeries::from_values(demand.start(), scratch.shifted),
+            shifted_demand: HourlySeries::from_values(demand.start(), shifted),
             energy_shifted_mwh,
         })
     }
 
-    /// [`GreedyScheduler::schedule_by_cost`] into caller-owned buffers,
-    /// analogous to [`GreedyScheduler::schedule_with`]: the shifted load
-    /// lands in `scratch.shifted()` and the energy moved is returned.
+    /// [`GreedyScheduler::schedule`] with a precomputed [`CostOrder`]
+    /// (built from the *same* demand/supply pair via
+    /// [`CostOrder::from_deficit`] or
+    /// [`CostOrder::rebuild_from_deficit_slices`]), into caller-owned
+    /// buffers: the post-scheduling load lands in `scratch.shifted()` and
+    /// the total energy moved is returned, with no per-call allocation once
+    /// the scratch is warm.
     ///
-    /// # Errors
-    ///
-    /// Returns an alignment error if the series are misaligned.
-    // ce:hot
-    pub fn schedule_by_cost_with(
-        &self,
-        demand: &HourlySeries,
-        cost: &HourlySeries,
-        scratch: &mut ScheduleScratch,
-    ) -> Result<f64, TimeSeriesError> {
-        demand.check_aligned(cost)?;
-        scratch.shifted.clear();
-        scratch.shifted.extend_from_slice(demand.values());
-        let mut total_moved = 0.0;
-        let loads = scratch.shifted.chunks_exact_mut(HOURS_PER_DAY);
-        let costs = cost.values().chunks_exact(HOURS_PER_DAY);
-        for (load, cost) in loads.zip(costs) {
-            total_moved +=
-                self.schedule_day(load, cost, None, &mut scratch.order, &mut scratch.sort_keys);
-        }
-        Ok(total_moved)
-    }
-
-    /// [`GreedyScheduler::schedule_with`] with a precomputed
-    /// [`CostOrder`] (built from the *same* demand/supply pair via
-    /// [`CostOrder::from_deficit`] / [`CostOrder::rebuild_from_deficit`]):
-    /// the per-day cost ranking — the dominant cost of the uncached path —
-    /// is reused instead of recomputed, and results are bitwise-identical.
-    ///
-    /// Sweep loops exploit this by building one `CostOrder` per supply
-    /// group and scheduling every design point in the group through it.
+    /// Sweep loops build one `CostOrder` per supply group and schedule
+    /// every design point in the group through it.
     ///
     /// # Errors
     ///
@@ -419,94 +333,44 @@ impl GreedyScheduler {
                 right: demand.len(),
             });
         }
-        scratch.shifted.clear();
-        scratch.shifted.extend_from_slice(demand.values());
-        let mut total_moved = 0.0;
-        let loads = scratch.shifted.chunks_exact_mut(HOURS_PER_DAY);
-        let costs = order.cost.chunks_exact(HOURS_PER_DAY);
-        let orders = order.order.chunks_exact(HOURS_PER_DAY);
-        let supplies = supply.values().chunks_exact(HOURS_PER_DAY);
-        for (((load, cost), ord), sup) in loads.zip(costs).zip(orders).zip(supplies) {
-            total_moved += self.transfer_day(load, cost, Some(sup), ord);
-        }
-        Ok(total_moved)
+        Ok(self.transfer_days(
+            demand.values(),
+            Some(supply.values()),
+            order,
+            &mut scratch.shifted,
+        ))
     }
 
-    /// [`GreedyScheduler::schedule_by_cost_with`] with a precomputed
-    /// [`CostOrder`] (built from the *same* cost series via
-    /// [`CostOrder::from_cost`] / [`CostOrder::rebuild_from_cost`]);
-    /// results are bitwise-identical to the uncached path.
-    ///
-    /// # Errors
-    ///
-    /// Returns a length mismatch if `order` was built from a series of a
-    /// different length than `demand`.
+    /// The one scheduling path: copies `demand` into `shifted`, then runs
+    /// [`GreedyScheduler::transfer_day`] on every full day along `order`'s
+    /// ranking. With a `supply`, each destination is additionally clamped
+    /// to its renewable supply. Returns the energy moved.
     // ce:hot
-    pub fn schedule_by_cost_with_order(
+    fn transfer_days(
         &self,
-        demand: &HourlySeries,
+        demand: &[f64],
+        supply: Option<&[f64]>,
         order: &CostOrder,
-        scratch: &mut ScheduleScratch,
-    ) -> Result<f64, TimeSeriesError> {
-        if order.source_len() != demand.len() {
-            return Err(TimeSeriesError::LengthMismatch {
-                left: order.source_len(),
-                right: demand.len(),
-            });
-        }
-        scratch.shifted.clear();
-        scratch.shifted.extend_from_slice(demand.values());
+        shifted: &mut Vec<f64>,
+    ) -> f64 {
+        shifted.clear();
+        shifted.extend_from_slice(demand);
+        // Without a supply the day iterator is empty, so every day gets
+        // `None`: no supply clamp.
+        let mut supplies = supply.unwrap_or(&[]).chunks_exact(HOURS_PER_DAY);
         let mut total_moved = 0.0;
-        let loads = scratch.shifted.chunks_exact_mut(HOURS_PER_DAY);
+        let loads = shifted.chunks_exact_mut(HOURS_PER_DAY);
         let costs = order.cost.chunks_exact(HOURS_PER_DAY);
         let orders = order.order.chunks_exact(HOURS_PER_DAY);
         for ((load, cost), ord) in loads.zip(costs).zip(orders) {
-            total_moved += self.transfer_day(load, cost, None, ord);
+            total_moved += self.transfer_day(load, cost, supplies.next(), ord);
         }
-        Ok(total_moved)
+        total_moved
     }
 
-    /// Greedy within one day; returns energy moved. `order` and `keys`
-    /// are caller-owned work buffers (cleared and refilled here).
-    ///
-    /// When a `supply` slice is given, a destination hour additionally
-    /// stops absorbing load once its remaining renewable surplus is used
-    /// up — moving more would merely relocate the deficit.
-    // ce:hot
-    fn schedule_day(
-        &self,
-        load: &mut [f64],
-        cost: &[f64],
-        supply: Option<&[f64]>,
-        order: &mut Vec<u32>,
-        keys: &mut Vec<u128>,
-    ) -> f64 {
-        // Hours ranked by cost: sources from most expensive down,
-        // destinations from cheapest up. The packed-key sort mirrors
-        // [`CostOrder::rebuild_orders`] — cost's `total_cmp`-ordered bits
-        // above the hour ordinal — so the unique-key unstable sort yields
-        // exactly the stable-sort permutation (the hour tiebreak *is*
-        // stability), stays allocation-free on warm buffers
-        // (`slice::sort_by` may allocate), and walks no indexes.
-        keys.clear();
-        keys.extend(
-            cost.iter()
-                .zip(0u32..)
-                // ce:allow(arith, reason = "64 key bits shifted 32 left still fit a u128")
-                .map(|(&c, hour)| (u128::from(ordered_bits(c)) << 32) | u128::from(hour)),
-        );
-        keys.sort_unstable();
-        order.clear();
-        order
-            // ce:allow(cast, reason = "intentional: the low 32 bits of the packed key are the hour ordinal")
-            .extend(keys.iter().map(|&key| key as u32));
-        self.transfer_day(load, cost, supply, order)
-    }
-
-    /// The transfer phase shared by the sorting and permutation-cached
-    /// paths: walks `order` (the day's hours ranked by ascending cost)
-    /// from both ends, moving flexible load from the most expensive hours
-    /// into the cheapest. Returns the energy moved.
+    /// Greedy within one day: walks `order` (the day's hours ranked by
+    /// ascending cost) from both ends, moving flexible load from the most
+    /// expensive hours into the cheapest. Returns the energy moved.
     ///
     /// The cursors' slots are mirrored into locals (`src_load`, `budget`,
     /// `dst_load`, ...) and written back only when a cursor advances or
@@ -775,38 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_with_matches_schedule_bitwise() {
-        let demand = HourlySeries::from_fn(start(), 96, |h| 8.0 + ((h * 11) % 9) as f64);
-        let supply = HourlySeries::from_fn(start(), 96, |h| ((h * 5) % 21) as f64);
-        let sched = GreedyScheduler::new(CasConfig {
-            max_capacity_mw: 18.0,
-            flexible_ratio: 0.4,
-        });
-        let full = sched.schedule(&demand, &supply).unwrap();
-        let mut scratch = ScheduleScratch::default();
-        let moved = sched.schedule_with(&demand, &supply, &mut scratch).unwrap();
-        assert_eq!(scratch.shifted(), full.shifted_demand.values());
-        assert_eq!(moved.to_bits(), full.energy_shifted_mwh.to_bits());
-    }
-
-    #[test]
-    fn schedule_by_cost_with_matches_schedule_by_cost() {
-        let demand = HourlySeries::from_fn(start(), 48, |h| 6.0 + (h % 4) as f64);
-        let cost = HourlySeries::from_fn(start(), 48, |h| ((h * 17) % 10) as f64);
-        let sched = GreedyScheduler::new(CasConfig {
-            max_capacity_mw: 40.0,
-            flexible_ratio: 0.7,
-        });
-        let full = sched.schedule_by_cost(&demand, &cost).unwrap();
-        let mut scratch = ScheduleScratch::default();
-        let moved = sched
-            .schedule_by_cost_with(&demand, &cost, &mut scratch)
-            .unwrap();
-        assert_eq!(scratch.shifted(), full.shifted_demand.values());
-        assert_eq!(moved.to_bits(), full.energy_shifted_mwh.to_bits());
-    }
-
-    #[test]
     fn scratch_is_reusable_across_runs_of_different_lengths() {
         let sched = GreedyScheduler::new(CasConfig {
             max_capacity_mw: 25.0,
@@ -815,13 +647,15 @@ mod tests {
         let mut scratch = ScheduleScratch::default();
         let long_demand = HourlySeries::constant(start(), 72, 10.0);
         let long_supply = HourlySeries::from_fn(start(), 72, |h| ((h * 3) % 20) as f64);
+        let long_order = CostOrder::from_deficit(&long_demand, &long_supply).unwrap();
         sched
-            .schedule_with(&long_demand, &long_supply, &mut scratch)
+            .schedule_with_order(&long_demand, &long_supply, &long_order, &mut scratch)
             .unwrap();
         let short_demand = HourlySeries::constant(start(), 24, 10.0);
         let short_supply = solar_day_supply();
+        let short_order = CostOrder::from_deficit(&short_demand, &short_supply).unwrap();
         let moved = sched
-            .schedule_with(&short_demand, &short_supply, &mut scratch)
+            .schedule_with_order(&short_demand, &short_supply, &short_order, &mut scratch)
             .unwrap();
         let fresh = sched.schedule(&short_demand, &short_supply).unwrap();
         assert_eq!(scratch.shifted(), fresh.shifted_demand.values());
@@ -842,58 +676,54 @@ mod tests {
         (demand, supply)
     }
 
-    #[test]
-    fn cached_order_matches_sorting_path_bitwise() {
-        let (demand, supply) = uneven_fixture();
-        for (cap, fwr) in [(18.0, 0.4), (12.5, 1.0), (100.0, 0.05), (9.0, 0.0)] {
-            let sched = GreedyScheduler::new(CasConfig {
-                max_capacity_mw: cap,
-                flexible_ratio: fwr,
-            });
-            let mut sorted = ScheduleScratch::default();
-            let moved_sorted = sched.schedule_with(&demand, &supply, &mut sorted).unwrap();
-            let order = CostOrder::from_deficit(&demand, &supply).unwrap();
-            let mut cached = ScheduleScratch::default();
-            let moved_cached = sched
-                .schedule_with_order(&demand, &supply, &order, &mut cached)
-                .unwrap();
-            let sorted_bits: Vec<u64> = sorted.shifted().iter().map(|v| v.to_bits()).collect();
-            let cached_bits: Vec<u64> = cached.shifted().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                sorted_bits, cached_bits,
-                "shifted diverged (cap {cap}, fwr {fwr})"
-            );
-            assert_eq!(
-                moved_sorted.to_bits(),
-                moved_cached.to_bits(),
-                "moved diverged (cap {cap}, fwr {fwr})"
-            );
-        }
+    /// The reference ranking: each full day's hours stably sorted by
+    /// `f64::total_cmp` on cost.
+    fn stable_sort_orders(cost: &[f64]) -> Vec<u32> {
+        cost.chunks_exact(HOURS_PER_DAY)
+            .flat_map(|day| {
+                let mut hours: Vec<u32> = (0..HOURS_PER_DAY as u32).collect();
+                hours.sort_by(|&a, &b| day[a as usize].total_cmp(&day[b as usize]));
+                hours
+            })
+            .collect()
     }
 
     #[test]
-    fn cached_order_matches_by_cost_path_bitwise() {
-        let demand = HourlySeries::from_fn(start(), 24 * 5, |h| 6.0 + (h % 4) as f64);
-        // Ties across hours (cost repeats every 6 hours) plus NaN-free
-        // negatives to exercise the full total_cmp ordering.
-        let cost = HourlySeries::from_fn(start(), 24 * 5, |h| ((h % 6) as f64) - 2.0);
-        let sched = GreedyScheduler::new(CasConfig {
-            max_capacity_mw: 40.0,
-            flexible_ratio: 0.7,
-        });
-        let mut sorted = ScheduleScratch::default();
-        let moved_sorted = sched
-            .schedule_by_cost_with(&demand, &cost, &mut sorted)
-            .unwrap();
-        let order = CostOrder::from_cost(cost.values());
-        let mut cached = ScheduleScratch::default();
-        let moved_cached = sched
-            .schedule_by_cost_with_order(&demand, &order, &mut cached)
-            .unwrap();
-        let sorted_bits: Vec<u64> = sorted.shifted().iter().map(|v| v.to_bits()).collect();
-        let cached_bits: Vec<u64> = cached.shifted().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(sorted_bits, cached_bits);
-        assert_eq!(moved_sorted.to_bits(), moved_cached.to_bits());
+    fn cost_order_matches_stable_sort_by_total_cmp() {
+        let (demand, supply) = uneven_fixture();
+        let deficit: Vec<f64> = demand
+            .values()
+            .iter()
+            .zip(supply.values())
+            .map(|(d, s)| d - s)
+            .collect();
+        let order = CostOrder::from_deficit(&demand, &supply).unwrap();
+        assert_eq!(order.days(), 7);
+        assert_eq!(order.order, stable_sort_orders(&deficit));
+
+        // Signed zeros (which total_cmp orders -0.0 < 0.0), negatives,
+        // infinities, NaNs of both signs, and ties; plus a partial day.
+        let specials = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -1.5,
+            3.0,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            -2.0,
+            3.0,
+            f64::NEG_INFINITY,
+        ];
+        let cost: Vec<f64> = (0..24 * 3 + 7)
+            .map(|h| specials[(h * 5 + h / 24) % specials.len()])
+            .collect();
+        let order = CostOrder::from_cost(&cost);
+        assert_eq!(order.source_len(), cost.len());
+        assert_eq!(order.days(), 3);
+        assert_eq!(order.order, stable_sort_orders(&cost));
     }
 
     #[test]
@@ -903,7 +733,7 @@ mod tests {
         // Rebuild for a different, shorter pair; must match a fresh build.
         let d2 = HourlySeries::from_fn(start(), 48, |h| 5.0 + (h % 7) as f64);
         let s2 = HourlySeries::from_fn(start(), 48, |h| ((h * 13) % 19) as f64);
-        order.rebuild_from_deficit(&d2, &s2).unwrap();
+        order.rebuild_from_deficit_slices(d2.values(), s2.values());
         let fresh = CostOrder::from_deficit(&d2, &s2).unwrap();
         assert_eq!(order.source_len(), fresh.source_len());
         assert_eq!(order.days(), fresh.days());
@@ -916,10 +746,9 @@ mod tests {
         let moved = sched
             .schedule_with_order(&d2, &s2, &order, &mut cached)
             .unwrap();
-        let mut sorted = ScheduleScratch::default();
-        let moved_sorted = sched.schedule_with(&d2, &s2, &mut sorted).unwrap();
-        assert_eq!(cached.shifted(), sorted.shifted());
-        assert_eq!(moved.to_bits(), moved_sorted.to_bits());
+        let scheduled = sched.schedule(&d2, &s2).unwrap();
+        assert_eq!(cached.shifted(), scheduled.shifted_demand.values());
+        assert_eq!(moved.to_bits(), scheduled.energy_shifted_mwh.to_bits());
     }
 
     #[test]
@@ -936,9 +765,6 @@ mod tests {
         assert!(sched
             .schedule_with_order(&short_demand, &short_supply, &order, &mut scratch)
             .is_err());
-        assert!(sched
-            .schedule_by_cost_with_order(&short_demand, &order, &mut scratch)
-            .is_err());
     }
 
     #[test]
@@ -952,10 +778,9 @@ mod tests {
             max_capacity_mw: 10.0,
             flexible_ratio: 1.0,
         });
-        let mut scratch = ScheduleScratch::default();
-        let moved = sched.schedule_with(&demand, &supply, &mut scratch).unwrap();
-        assert_eq!(moved, 0.0);
-        assert_eq!(scratch.shifted(), demand.values());
+        let result = sched.schedule(&demand, &supply).unwrap();
+        assert_eq!(result.energy_shifted_mwh, 0.0);
+        assert_eq!(result.shifted_demand, demand);
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub mod combined;
 pub mod greedy;
 pub mod lp;
 pub mod online;
-pub mod queue;
 pub mod spatial;
 pub mod tiered;
 
@@ -52,6 +51,5 @@ pub use combined::{
 pub use greedy::{CasConfig, CostOrder, GreedyScheduler, ScheduleResult, ScheduleScratch};
 pub use lp::lp_schedule;
 pub use online::{online_schedule, OnlineResult};
-pub use queue::{simulate_queue, QueueStats};
 pub use spatial::{migrate_load, MigrationConfig, MigrationResult, SpatialSite};
 pub use tiered::{TierSpec, TieredScheduler};

@@ -31,15 +31,6 @@ pub enum TimeSeriesError {
         /// Human-readable description of what was invalid.
         what: &'static str,
     },
-    /// CSV input could not be parsed.
-    Csv {
-        /// 1-based line number of the malformed record.
-        line: usize,
-        /// Description of the problem.
-        message: String,
-    },
-    /// An underlying I/O error, carried as a string to keep the error `Clone`.
-    Io(String),
 }
 
 impl fmt::Display for TimeSeriesError {
@@ -54,19 +45,11 @@ impl fmt::Display for TimeSeriesError {
             }
             Self::Empty => write!(f, "operation requires a non-empty series"),
             Self::InvalidDate { what } => write!(f, "invalid date component: {what}"),
-            Self::Csv { line, message } => write!(f, "csv parse error at line {line}: {message}"),
-            Self::Io(message) => write!(f, "io error: {message}"),
         }
     }
 }
 
 impl std::error::Error for TimeSeriesError {}
-
-impl From<std::io::Error> for TimeSeriesError {
-    fn from(err: std::io::Error) -> Self {
-        Self::Io(err.to_string())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -79,11 +62,7 @@ mod tests {
             TimeSeriesError::StartMismatch,
             TimeSeriesError::OutOfBounds { index: 5, len: 3 },
             TimeSeriesError::Empty,
-            TimeSeriesError::Csv {
-                line: 2,
-                message: "bad float".into(),
-            },
-            TimeSeriesError::Io("disk gone".into()),
+            TimeSeriesError::InvalidDate { what: "month" },
         ];
         for err in errors {
             let text = err.to_string();
@@ -91,13 +70,6 @@ mod tests {
             assert!(text.chars().next().unwrap().is_lowercase());
             assert!(!text.ends_with('.'));
         }
-    }
-
-    #[test]
-    fn io_error_converts() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "missing");
-        let err = TimeSeriesError::from(io);
-        assert!(matches!(err, TimeSeriesError::Io(_)));
     }
 
     #[test]

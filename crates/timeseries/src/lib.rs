@@ -13,8 +13,7 @@
 //! - summary statistics ([`stats`]): histograms, quantiles, correlation,
 //!   rolling means,
 //! - resampling ([`resample`]): daily totals, average-day (hour-of-day)
-//!   profiles, windowed slices,
-//! - minimal CSV I/O ([`csv`]) so series can be exported for plotting.
+//!   profiles, windowed slices.
 //!
 //! # Example
 //!
@@ -29,10 +28,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod csv;
 mod error;
 pub mod forecast;
-pub mod frame;
 pub mod kernels;
 pub mod resample;
 pub mod series;
@@ -40,7 +37,6 @@ pub mod stats;
 pub mod time;
 
 pub use error::TimeSeriesError;
-pub use frame::Frame;
 pub use kernels::DeficitStats;
 pub use series::HourlySeries;
 pub use time::{Date, Timestamp, HOURS_PER_DAY};
